@@ -10,7 +10,7 @@ from setuptools import find_packages, setup
 
 setup(
     name="repro",
-    version="1.4.0",
+    version="1.10.0",
     description="E-AFE: efficient automated feature engineering (ICDE 2023 reproduction)",
     package_dir={"": "src"},
     packages=find_packages(where="src"),

@@ -60,7 +60,7 @@ from .serve import FeaturePipeline, PlanRegistry, TransformService
 from .chaos import FaultInjected, FaultPlan
 from .reliability import RetryPolicy
 
-__version__ = "1.9.0"
+__version__ = "1.10.0"
 
 __all__ = [
     "AutoFeatureEngineer",

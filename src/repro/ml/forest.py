@@ -3,12 +3,15 @@
 Following the NFS convention the paper adopts (Section II, Evaluation
 Task), Random Forest cross-validation is the formal feature evaluator.
 The forest is standard Breiman bagging: each tree sees a bootstrap sample
-of the rows and a random ``sqrt`` subset of features per node.
+of the rows and a random ``sqrt`` subset of features per node.  All trees
+of a forest grow together in one lockstep run (see :mod:`repro.ml.tree`),
+each exactly as if it were fitted alone.
 
-``feature_importances_`` (mean impurity-style usage counts weighted by
-node size) backs the paper's pre-filtering step: *"E-AFE first conducts
-feature selection of less than maximum features according to the feature
-importance via RF on the 36 raw target datasets"* (Section IV-B).
+``feature_importances_`` (the normalized count of splits on each
+feature over all trees; not weighted by node size) backs the paper's
+pre-filtering step: *"E-AFE first conducts feature selection of less
+than maximum features according to the feature importance via RF on the
+36 raw target datasets"* (Section IV-B).
 """
 
 from __future__ import annotations
@@ -52,14 +55,15 @@ class _BaseForest(BaseEstimator):
         self.n_features_ = X.shape[1]
         rng = np.random.default_rng(self.seed)
         n_samples = X.shape[0]
-        for i in range(self.n_estimators):
-            tree = self._make_tree(int(rng.integers(0, 2**31 - 1)))
+        samples = []
+        for _ in range(self.n_estimators):
+            self._trees.append(self._make_tree(int(rng.integers(0, 2**31 - 1))))
             if self.bootstrap:
-                rows = rng.integers(0, n_samples, size=n_samples)
+                samples.append(rng.integers(0, n_samples, size=n_samples))
             else:
-                rows = np.arange(n_samples)
-            tree.fit(X[rows], y[rows])
-            self._trees.append(tree)
+                samples.append(np.arange(n_samples))
+        rows = np.stack(samples)
+        self._trees[0]._fit_lockstep(self._trees, X[rows], y[rows])
 
     @property
     def feature_importances_(self) -> np.ndarray:

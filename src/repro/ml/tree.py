@@ -1,19 +1,33 @@
 """CART decision trees (classifier and regressor) in vectorized numpy.
 
 These are the building blocks of the Random Forest downstream task
-(Section II, Evaluation Task).  The implementation favours the shape of
-cost the paper measures — feature evaluation is *expensive relative to
-feature generation* — while remaining fast enough that hundreds of
-cross-validated evaluations finish on a laptop:
+(Section II, Evaluation Task).  Feature evaluation is the cost the paper
+sets out to cut, and almost all of it lands here, so trees are grown by
+a *lockstep grower* that fits several trees at once:
 
-* Splits are exact (sort-based): at each node, every candidate feature is
-  sorted once and the impurity of every possible threshold is computed in
-  one vectorized pass using prefix sums.
-* Prediction routes all rows through the tree level by level with boolean
-  masks instead of per-row Python recursion.
+* Every tree keeps its own depth-first order (right child popped first)
+  and its own ``default_rng(seed)``, so each ``rng.choice`` of candidate
+  features lands on the same node as in a tree grown alone.  Each step
+  takes the next splittable node of every tree still growing and scores
+  every (tree, candidate feature) segment in one flat numpy pass.
+* A node is a ``[lo, hi)`` block of its tree's lane of row ids, kept in
+  ascending row order; a split stable-partitions the block by the
+  realized ``x <= threshold`` mask.  Each feature is ranked once per tree
+  (equal values share a rank), so one stable argsort of (segment, rank)
+  keys sorts every segment of a step, ties in row order, exactly as a
+  per-node stable sort would.
+* Splits are exact: every threshold between two distinct sorted values
+  is scored.  Gini uses class prefix counts, exact integers; the MSE
+  prefix sums restart at each segment, so every float is the one a
+  single node's search computes.
+* Node arrays are numpy after fit; prediction routes all rows through
+  the tree level by level with boolean masks instead of per-row Python
+  recursion, and reads leaf values with one fancy index.
 
-Both trees accept ``max_features`` so the forest can do per-node feature
-subsampling, and an externally supplied seed so runs are reproducible.
+A forest grows all its trees in one lockstep run; a single tree (the
+unit gradient boosting fits) is a run of one.  Both trees accept
+``max_features`` for per-node feature subsampling, and an externally
+supplied seed so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -41,6 +55,25 @@ def _resolve_max_features(max_features: int | str | None, n_features: int) -> in
     return min(count, n_features)
 
 
+def _dense_ranks(XT: np.ndarray) -> np.ndarray:
+    """Rank of every value within its row of ``XT``; equal values share a rank."""
+    order = np.argsort(XT, axis=-1)
+    ordered = np.take_along_axis(XT, order, axis=-1)
+    steps = np.zeros(XT.shape, dtype=np.int64)
+    steps[..., 1:] = ordered[..., 1:] > ordered[..., :-1]
+    ranks = np.empty_like(steps)
+    np.put_along_axis(ranks, order, np.cumsum(steps, axis=-1), axis=-1)
+    return ranks
+
+
+def _segments(lengths: np.ndarray):
+    """Flat layout of consecutive segments: starts, segment id and offset of each slot."""
+    starts = np.cumsum(lengths) - lengths
+    sid = np.repeat(np.arange(len(lengths)), lengths)
+    offset = np.arange(len(sid)) - starts[sid]
+    return starts, sid, offset
+
+
 class _BaseTree(BaseEstimator):
     """Shared growth/prediction machinery; subclasses define impurity."""
 
@@ -62,78 +95,181 @@ class _BaseTree(BaseEstimator):
         self.max_features = max_features
         self.seed = seed
         # Flat node arrays filled during fit.
-        self._feature: list[int] = []
-        self._threshold: list[float] = []
-        self._left: list[int] = []
-        self._right: list[int] = []
-        self._value: list[np.ndarray] = []
+        self._feature = np.empty(0, dtype=np.int64)
+        self._threshold = np.empty(0)
+        self._left = np.empty(0, dtype=np.int64)
+        self._right = np.empty(0, dtype=np.int64)
+        self._value = np.empty((0, 1))
         self.n_features_: int | None = None
 
     # -- subclass hooks -------------------------------------------------
-    def _leaf_value(self, y: np.ndarray) -> np.ndarray:
+    def _encode(self, y: np.ndarray) -> tuple[np.ndarray, int]:
+        """Per-tree targets for the grower and their class count (0: regression)."""
         raise NotImplementedError
 
-    def _best_split_of_feature(
-        self, column: np.ndarray, y: np.ndarray
-    ) -> tuple[float, float]:
-        """Return ``(gain, threshold)`` of the best split for one column."""
+    @staticmethod
+    def _gain(labels, offset, sid, starts, lengths, n_classes, width):
+        """Split gain after every slot of every segment (the last slot is junk).
+
+        ``n_classes`` is the class count of each segment's tree and
+        ``width`` the largest class count of the run.  Also returns the
+        per-slot left class counts and per-segment class totals (``None``
+        for regression) that children inherit.
+        """
         raise NotImplementedError
 
     # -- growth ----------------------------------------------------------
-    def _new_node(self) -> int:
-        self._feature.append(_LEAF)
-        self._threshold.append(0.0)
-        self._left.append(_LEAF)
-        self._right.append(_LEAF)
-        self._value.append(np.empty(0))
-        return len(self._feature) - 1
+    @classmethod
+    def _fit_lockstep(cls, trees: list["_BaseTree"], X: np.ndarray, y: np.ndarray) -> None:
+        """Grow ``trees`` (same class and hyperparameters) on ``X[b], y[b]``.
 
-    def _fit_arrays(self, X: np.ndarray, y: np.ndarray) -> None:
-        self._feature, self._threshold = [], []
-        self._left, self._right, self._value = [], [], []
-        self.n_features_ = X.shape[1]
-        rng = np.random.default_rng(self.seed)
-        n_candidates = _resolve_max_features(self.max_features, X.shape[1])
-        root = self._new_node()
-        # Depth-first explicit stack: (node_id, row_indices, depth).
-        stack: list[tuple[int, np.ndarray, int]] = [(root, np.arange(len(y)), 0)]
-        while stack:
-            node, rows, depth = stack.pop()
-            labels = y[rows]
-            self._value[node] = self._leaf_value(labels)
-            if (
-                len(rows) < self.min_samples_split
-                or (self.max_depth is not None and depth >= self.max_depth)
-                or self._is_pure(labels)
-            ):
-                continue
-            candidates = rng.choice(X.shape[1], size=n_candidates, replace=False)
-            best_gain, best_feature, best_threshold = 0.0, _LEAF, 0.0
-            for feature in candidates:
-                gain, threshold = self._best_split_of_feature(
-                    X[rows, feature], labels
+        ``X`` is ``(B, n, d)`` and ``y`` is ``(B, n)``: tree ``b`` sees
+        row ``i`` as ``X[b, i]``.  Each tree ends up exactly as if grown
+        alone with its own seed.
+        """
+        template = trees[0]
+        n_trees, n, d = X.shape
+        encoded = [tree._encode(target) for tree, target in zip(trees, y)]
+        tree_classes = np.array([count for _, count in encoded])
+        n_classes = int(tree_classes.max())
+        Y = np.stack([values for values, _ in encoded])
+        k = _resolve_max_features(template.max_features, d)
+        max_depth = np.inf if template.max_depth is None else template.max_depth
+        split_min, leaf_min = template.min_samples_split, template.min_samples_leaf
+        # Segment-major sort keys fit 16 bits (a linear-time radix sort) on small inputs.
+        small_keys = n_trees * k * n <= 2**16
+
+        XT = np.ascontiguousarray(X.transpose(0, 2, 1))  # (B, d, n)
+        x_flat, y_flat = XT.reshape(-1), Y.reshape(-1)
+        rank_flat = _dense_ranks(XT).reshape(-1)
+        # Each node is a block [lo, hi) of its tree's row lane, in ascending row order.
+        row_lane = np.tile(np.arange(n), (n_trees, 1))
+        r_flat = row_lane.reshape(-1)
+
+        rngs = [np.random.default_rng(tree.seed) for tree in trees]
+        tables = [_NodeTable() for _ in trees]
+        stacks: list[list[tuple[int, int, int, int]]] = [[] for _ in trees]
+        for b, table in enumerate(tables):
+            trees[b].n_features_ = d
+            if n_classes:
+                counts = np.bincount(Y[b], minlength=n_classes)
+                pure = counts.max() == n
+                table.add(counts)
+            else:
+                pure = np.ptp(Y[b]) < 1e-12
+                table.add(Y[b].mean())
+            if n >= split_min and max_depth > 0 and not pure:
+                stacks[b].append((0, 0, n, 0))
+
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            while True:
+                active = [b for b in range(n_trees) if stacks[b]]
+                if not active:
+                    break
+                node_of, lo, hi, depth = zip(*[stacks[b].pop() for b in active])
+                features = np.array(
+                    [rngs[b].choice(d, size=k, replace=False) for b in active]
                 )
-                if gain > best_gain:
-                    best_gain, best_feature, best_threshold = gain, feature, threshold
-            if best_feature == _LEAF:
-                continue
-            goes_left = X[rows, best_feature] <= best_threshold
-            left_rows, right_rows = rows[goes_left], rows[~goes_left]
-            if (
-                len(left_rows) < self.min_samples_leaf
-                or len(right_rows) < self.min_samples_leaf
-            ):
-                continue
-            self._feature[node] = int(best_feature)
-            self._threshold[node] = float(best_threshold)
-            left = self._new_node()
-            right = self._new_node()
-            self._left[node], self._right[node] = left, right
-            stack.append((left, left_rows, depth + 1))
-            stack.append((right, right_rows, depth + 1))
+                tree_of, lo_a = np.array(active), np.array(lo)
+                sizes = np.array(hi) - lo_a
+                # -- split search over every (tree, candidate) segment ----------
+                lengths = np.repeat(sizes, k)
+                starts, sid, offset = _segments(lengths)
+                seg_tree = np.repeat(tree_of, k)
+                seg_feature = features.reshape(-1)
+                rows = r_flat[(seg_tree * n + np.repeat(lo_a, k))[sid] + offset]
+                lane = ((seg_tree * d + seg_feature) * n)[sid]
+                key = sid * n + rank_flat[lane + rows]
+                # Stable: tied values keep ascending row order within a segment.
+                by_value = np.argsort(
+                    key.astype(np.uint16) if small_keys else key, kind="stable"
+                )
+                rows = rows[by_value]
+                values = x_flat[lane + rows]
+                labels = y_flat[(seg_tree * n)[sid] + rows]
+                gain, left_counts, totals = cls._gain(
+                    labels, offset, sid, starts, lengths, tree_classes[seg_tree], n_classes
+                )
+                # A split between equal values is not realizable; the last
+                # slot of a segment has no right side.
+                valid = np.empty(len(values), dtype=bool)
+                np.greater(values[1:], values[:-1], out=valid[:-1])
+                valid[starts + lengths - 1] = False
+                if leaf_min > 1:
+                    valid &= offset + 1 >= leaf_min
+                    valid &= lengths[sid] - offset - 1 >= leaf_min
+                gain[~valid] = -np.inf
+                best_gain = np.maximum.reduceat(gain, starts)
+                slot = np.where(gain == best_gain[sid], np.arange(len(gain)), len(gain))
+                best_slot = np.minimum.reduceat(slot, starts)
+                # First candidate with the largest positive gain (NaN never wins).
+                per_node = np.fmax(best_gain, -np.inf).reshape(-1, k)
+                pick = np.argmax(per_node, axis=1)
+                chosen = np.flatnonzero(per_node[np.arange(len(pick)), pick] > 0.0)
+                if not len(chosen):
+                    continue
+                segment = chosen * k + pick[chosen]
+                at = best_slot[segment]
+                threshold = (values[at] + values[at + 1]) / 2.0
+                feature = seg_feature[segment]
+                # -- stable partition of each chosen node's rows ----------------
+                c_tree, c_lo, c_size = tree_of[chosen], lo_a[chosen], sizes[chosen]
+                p_starts, p_sid, p_offset = _segments(c_size)
+                block_start = c_tree * n + c_lo
+                position = block_start[p_sid] + p_offset
+                block = r_flat[position]
+                column = (c_tree * d + feature) * n
+                goes_left = x_flat[column[p_sid] + block] <= threshold[p_sid]
+                lefts = np.cumsum(goes_left)
+                before = lefts[p_starts] - goes_left[p_starts]
+                n_left = lefts[p_starts + c_size - 1] - before
+                r_flat[np.where(
+                    goes_left,
+                    (block_start - before - 1)[p_sid] + lefts,
+                    position - lefts + (n_left + before)[p_sid],
+                )] = block
+                n_right = c_size - n_left
+                # -- children statistics ----------------------------------------
+                if n_classes:
+                    left_stat = left_counts.T[at]
+                    # The midpoint can round onto the upper value, sending its
+                    # ties left too: recount those children.
+                    for i in np.flatnonzero(n_left != at - starts[segment] + 1):
+                        b, first = c_tree[i], c_lo[i]
+                        kept = row_lane[b, first : first + n_left[i]]
+                        left_stat[i] = np.bincount(Y[b, kept], minlength=n_classes)
+                    right_stat = totals.T[segment] - left_stat
+                    left_pure = left_stat.max(axis=1) == n_left
+                    right_pure = right_stat.max(axis=1) == n_right
+                else:
+                    left_stat, right_stat, left_pure, right_pure = _mse_children(
+                        Y, row_lane, c_tree, c_lo, n_left, c_size
+                    )
+                split_ok = (n_left >= leaf_min) & (n_right >= leaf_min)
+                for i, a, f, t, nl, nr, lp, rp in zip(
+                    np.flatnonzero(split_ok).tolist(),
+                    chosen[split_ok].tolist(),
+                    feature[split_ok].tolist(),
+                    threshold[split_ok].tolist(),
+                    n_left[split_ok].tolist(),
+                    n_right[split_ok].tolist(),
+                    left_pure[split_ok].tolist(),
+                    right_pure[split_ok].tolist(),
+                ):
+                    b, child_depth = active[a], depth[a] + 1
+                    table = tables[b]
+                    left = table.add(left_stat[i])
+                    right = table.add(right_stat[i])
+                    table.split(node_of[a], f, t, left, right)
+                    if child_depth < max_depth:
+                        middle = lo[a] + nl
+                        if nl >= split_min and not lp:
+                            stacks[b].append((left, lo[a], middle, child_depth))
+                        if nr >= split_min and not rp:
+                            stacks[b].append((right, middle, hi[a], child_depth))
 
-    def _is_pure(self, y: np.ndarray) -> bool:
-        return bool(np.all(y == y[0]))
+        for tree, table, classes in zip(trees, tables, tree_classes.tolist()):
+            table.store(tree, classes)
 
     # -- prediction --------------------------------------------------------
     def _leaf_of_rows(self, X: np.ndarray) -> np.ndarray:
@@ -145,18 +281,14 @@ class _BaseTree(BaseEstimator):
             raise ValueError(
                 f"fitted on {self.n_features_} features, got {matrix.shape[1]}"
             )
-        feature = np.asarray(self._feature)
-        threshold = np.asarray(self._threshold)
-        left = np.asarray(self._left)
-        right = np.asarray(self._right)
+        feature, threshold = self._feature, self._threshold
+        left, right = self._left, self._right
         position = np.zeros(matrix.shape[0], dtype=np.int64)
         active = feature[position] != _LEAF
         while active.any():
             rows = np.flatnonzero(active)
             nodes = position[rows]
-            goes_left = (
-                matrix[rows, feature[nodes]] <= threshold[nodes]
-            )
+            goes_left = matrix[rows, feature[nodes]] <= threshold[nodes]
             position[rows] = np.where(goes_left, left[nodes], right[nodes])
             active = feature[position] != _LEAF
         return position
@@ -168,17 +300,66 @@ class _BaseTree(BaseEstimator):
     @property
     def depth(self) -> int:
         """Actual depth of the fitted tree."""
-        if not self._feature:
-            return 0
-        depths = {0: 0}
-        maximum = 0
-        for node in range(len(self._feature)):
-            if self._feature[node] == _LEAF:
-                continue
-            for child in (self._left[node], self._right[node]):
-                depths[child] = depths[node] + 1
-                maximum = max(maximum, depths[child])
-        return maximum
+        # Children always get larger ids than their parent.
+        depths = np.zeros(len(self._feature), dtype=np.int64)
+        for node in np.flatnonzero(self._feature != _LEAF):
+            depths[self._left[node]] = depths[self._right[node]] = depths[node] + 1
+        return int(depths.max(initial=0))
+
+
+def _mse_children(Y, row_lane, c_tree, c_lo, n_left, c_size):
+    """Mean and purity of both children of every chosen regression node."""
+    left_mean = np.empty(len(c_tree))
+    right_mean = np.empty(len(c_tree))
+    left_pure = np.empty(len(c_tree), dtype=bool)
+    right_pure = np.empty(len(c_tree), dtype=bool)
+    for i, b in enumerate(c_tree):
+        lo, middle, hi = c_lo[i], c_lo[i] + n_left[i], c_lo[i] + c_size[i]
+        left_y = Y[b, row_lane[b, lo:middle]]
+        right_y = Y[b, row_lane[b, middle:hi]]
+        left_mean[i] = left_y.mean() if len(left_y) else np.nan
+        right_mean[i] = right_y.mean() if len(right_y) else np.nan
+        left_pure[i] = len(left_y) == 0 or np.ptp(left_y) < 1e-12
+        right_pure[i] = len(right_y) == 0 or np.ptp(right_y) < 1e-12
+    return left_mean, right_mean, left_pure, right_pure
+
+
+class _NodeTable:
+    """Growing node arrays of one tree (ids in creation order)."""
+
+    __slots__ = ("feature", "threshold", "left", "right", "stat")
+
+    def __init__(self) -> None:
+        self.feature: list[int] = []
+        self.threshold: list[float] = []
+        self.left: list[int] = []
+        self.right: list[int] = []
+        self.stat: list = []
+
+    def add(self, stat) -> int:
+        self.feature.append(_LEAF)
+        self.threshold.append(0.0)
+        self.left.append(_LEAF)
+        self.right.append(_LEAF)
+        self.stat.append(stat)
+        return len(self.feature) - 1
+
+    def split(self, node: int, feature: int, threshold: float, left: int, right: int) -> None:
+        self.feature[node] = feature
+        self.threshold[node] = threshold
+        self.left[node] = left
+        self.right[node] = right
+
+    def store(self, tree: _BaseTree, n_classes: int) -> None:
+        tree._feature = np.array(self.feature, dtype=np.int64)
+        tree._threshold = np.array(self.threshold, dtype=np.float64)
+        tree._left = np.array(self.left, dtype=np.int64)
+        tree._right = np.array(self.right, dtype=np.int64)
+        if n_classes:
+            counts = np.array(self.stat)[:, :n_classes]
+            tree._value = counts / counts.sum(axis=1, keepdims=True)
+        else:
+            tree._value = np.array(self.stat, dtype=np.float64).reshape(-1, 1)
 
 
 class DecisionTreeClassifier(_BaseTree):
@@ -186,54 +367,45 @@ class DecisionTreeClassifier(_BaseTree):
 
     def fit(self, X, y) -> "DecisionTreeClassifier":
         matrix, target = check_X_y(X, y)
-        self.classes_ = np.unique(target)
-        self._class_index = {c: i for i, c in enumerate(self.classes_)}
-        encoded = np.searchsorted(self.classes_, target)
-        self._n_classes = len(self.classes_)
-        self._fit_arrays(matrix, encoded)
+        self._fit_lockstep([self], matrix[None], target[None])
         return self
 
-    def _leaf_value(self, y: np.ndarray) -> np.ndarray:
-        counts = np.bincount(y.astype(np.int64), minlength=self._n_classes)
-        return counts / counts.sum()
+    def _encode(self, y: np.ndarray) -> tuple[np.ndarray, int]:
+        # A bootstrap may miss a class: every tree encodes its own classes.
+        self.classes_ = np.unique(y)
+        return np.searchsorted(self.classes_, y), len(self.classes_)
 
-    def _best_split_of_feature(
-        self, column: np.ndarray, y: np.ndarray
-    ) -> tuple[float, float]:
-        order = np.argsort(column, kind="stable")
-        values = column[order]
-        labels = y[order].astype(np.int64)
-        n = len(values)
-        if values[0] == values[-1]:
-            return 0.0, 0.0
-        # Prefix class counts: counts[i, c] = #{labels[:i] == c}.
-        one_hot = np.zeros((n, self._n_classes))
-        one_hot[np.arange(n), labels] = 1.0
-        prefix = np.cumsum(one_hot, axis=0)
-        total = prefix[-1]
-        # Split after position i (1..n-1): left = first i rows.
-        left_counts = prefix[:-1]
-        right_counts = total - left_counts
-        left_n = np.arange(1, n, dtype=np.float64)
+    @staticmethod
+    def _gain(labels, offset, sid, starts, lengths, n_classes, width):
+        # Class prefix counts, one row per class; exact integers, so sums
+        # of squared counts do not depend on the summation order.
+        prefix = np.zeros((width, len(labels) + 1), dtype=np.int64)
+        np.cumsum(labels == np.arange(width)[:, None], axis=1, out=prefix[:, 1:])
+        base = prefix[:, starts]
+        totals = prefix[:, starts + lengths] - base
+        # Split after slot i: left = the first offset + 1 rows of the segment.
+        left_counts = prefix[:, 1:] - np.repeat(base, lengths, axis=1)
+        right_counts = np.repeat(totals, lengths, axis=1) - left_counts
+        n = lengths[sid]
+        left_n = offset + 1.0
         right_n = n - left_n
-        left_gini = 1.0 - np.sum(left_counts**2, axis=1) / left_n**2
-        right_gini = 1.0 - np.sum(right_counts**2, axis=1) / right_n**2
-        parent_gini = 1.0 - np.sum((total / n) ** 2)
-        gain = parent_gini - (left_n * left_gini + right_n * right_gini) / n
-        # A split between equal values is not realizable.
-        valid = values[1:] > values[:-1]
-        valid &= left_n >= self.min_samples_leaf
-        valid &= right_n >= self.min_samples_leaf
-        if not valid.any():
-            return 0.0, 0.0
-        gain = np.where(valid, gain, -np.inf)
-        best = int(np.argmax(gain))
-        threshold = (values[best] + values[best + 1]) / 2.0
-        return float(gain[best]), float(threshold)
+        left_gini = 1.0 - np.einsum("cn,cn->n", left_counts, left_counts) / left_n**2
+        right_gini = 1.0 - np.einsum("cn,cn->n", right_counts, right_counts) / right_n**2
+        # The parent term is a float sum over each tree's own classes, in
+        # the order a single node's 1-D sum adds them.
+        shares = (np.ascontiguousarray(totals.T) / lengths[:, None]) ** 2
+        if n_classes.min() == width:
+            parent_gini = 1.0 - np.sum(shares, axis=1)
+        else:
+            parent_gini = np.empty(len(starts))
+            for count in np.unique(n_classes).tolist():
+                rows = n_classes == count
+                parent_gini[rows] = 1.0 - np.sum(shares[rows, :count], axis=1)
+        gain = parent_gini[sid] - (left_n * left_gini + right_n * right_gini) / n
+        return gain, left_counts, totals
 
     def predict_proba(self, X) -> np.ndarray:
-        leaves = self._leaf_of_rows(X)
-        return np.vstack([self._value[node] for node in leaves])
+        return self._value[self._leaf_of_rows(X)]
 
     def predict(self, X) -> np.ndarray:
         probabilities = self.predict_proba(X)
@@ -245,48 +417,34 @@ class DecisionTreeRegressor(_BaseTree):
 
     def fit(self, X, y) -> "DecisionTreeRegressor":
         matrix, target = check_X_y(X, y)
-        self._fit_arrays(matrix, target)
+        self._fit_lockstep([self], matrix[None], target[None])
         return self
 
-    def _is_pure(self, y: np.ndarray) -> bool:
-        return bool(np.ptp(y) < 1e-12)
+    def _encode(self, y: np.ndarray) -> tuple[np.ndarray, int]:
+        return y, 0
 
-    def _leaf_value(self, y: np.ndarray) -> np.ndarray:
-        return np.array([y.mean()])
-
-    def _best_split_of_feature(
-        self, column: np.ndarray, y: np.ndarray
-    ) -> tuple[float, float]:
-        order = np.argsort(column, kind="stable")
-        values = column[order]
-        target = y[order]
-        n = len(values)
-        if values[0] == values[-1]:
-            return 0.0, 0.0
-        prefix_sum = np.cumsum(target)
-        prefix_sq = np.cumsum(target**2)
-        total_sum, total_sq = prefix_sum[-1], prefix_sq[-1]
-        left_n = np.arange(1, n, dtype=np.float64)
+    @staticmethod
+    def _gain(labels, offset, sid, starts, lengths, n_classes, width):
+        # Float prefix sums must restart at each segment: a padded 2-D
+        # cumsum along the rows is exact because the padding trails.
+        padded = np.zeros((2, len(starts), int(lengths.max())))
+        real = np.arange(padded.shape[2]) < lengths[:, None]
+        padded[0][real] = labels
+        padded[1][real] = labels**2
+        prefix = np.cumsum(padded, axis=2)
+        left_sum, left_sq = prefix[:, real]
+        total_sum, total_sq = prefix[:, np.arange(len(starts)), lengths - 1]
+        n = lengths[sid]
+        left_n = offset + 1.0
         right_n = n - left_n
-        left_sum = prefix_sum[:-1]
-        right_sum = total_sum - left_sum
-        left_sq = prefix_sq[:-1]
-        right_sq = total_sq - left_sq
+        right_sum = total_sum[sid] - left_sum
+        right_sq = total_sq[sid] - left_sq
         # SSE of each side: sum(y^2) - (sum(y))^2 / n.
         left_sse = left_sq - left_sum**2 / left_n
         right_sse = right_sq - right_sum**2 / right_n
-        parent_sse = total_sq - total_sum**2 / n
-        gain = (parent_sse - left_sse - right_sse) / n
-        valid = values[1:] > values[:-1]
-        valid &= left_n >= self.min_samples_leaf
-        valid &= right_n >= self.min_samples_leaf
-        if not valid.any():
-            return 0.0, 0.0
-        gain = np.where(valid, gain, -np.inf)
-        best = int(np.argmax(gain))
-        threshold = (values[best] + values[best + 1]) / 2.0
-        return float(max(gain[best], 0.0)), float(threshold)
+        parent_sse = total_sq - total_sum**2 / lengths
+        gain = (parent_sse[sid] - left_sse - right_sse) / n
+        return gain, None, None
 
     def predict(self, X) -> np.ndarray:
-        leaves = self._leaf_of_rows(X)
-        return np.array([self._value[node][0] for node in leaves])
+        return self._value[self._leaf_of_rows(X), 0]

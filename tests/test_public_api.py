@@ -82,8 +82,15 @@ class TestPublicClassesDocumentMethods:
 
 class TestVersion:
     def test_version_string(self):
+        import re
+        from pathlib import Path
+
         import repro
 
         parts = repro.__version__.split(".")
         assert len(parts) == 3
         assert all(part.isdigit() for part in parts)
+        # The installed package (setup.py) and the import agree.
+        setup_py = Path(__file__).resolve().parents[1] / "setup.py"
+        declared = re.search(r'version="([^"]+)"', setup_py.read_text()).group(1)
+        assert declared == repro.__version__
