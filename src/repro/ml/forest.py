@@ -62,8 +62,7 @@ class _BaseForest(BaseEstimator):
                 samples.append(rng.integers(0, n_samples, size=n_samples))
             else:
                 samples.append(np.arange(n_samples))
-        rows = np.stack(samples)
-        self._trees[0]._fit_lockstep(self._trees, X[rows], y[rows])
+        self._trees[0]._fit_lockstep(self._trees, X, y, np.stack(samples))
 
     @property
     def feature_importances_(self) -> np.ndarray:

@@ -9,13 +9,19 @@ a *lockstep grower* that fits several trees at once:
   and its own ``default_rng(seed)``, so each ``rng.choice`` of candidate
   features lands on the same node as in a tree grown alone.  Each step
   takes the next splittable node of every tree still growing and scores
-  every (tree, candidate feature) segment in one flat numpy pass.
-* A node is a ``[lo, hi)`` block of its tree's lane of row ids, kept in
-  ascending row order; a split stable-partitions the block by the
-  realized ``x <= threshold`` mask.  Each feature is ranked once per tree
-  (equal values share a rank), so one stable argsort of (segment, rank)
-  keys sorts every segment of a step, ties in row order, exactly as a
-  per-node stable sort would.
+  every (tree, candidate feature) segment with flat numpy passes.
+* The trees share one table: tree ``b`` sees row ``i`` as
+  ``X[samples[b, i]]`` (its bootstrap), and values, ranks and targets
+  are gathered through those indices, so no per-tree copy of ``X`` is
+  made.  A node is a ``[lo, hi)`` block of its tree's lane of row ids,
+  kept in ascending row order; a split stable-partitions the block by
+  the realized ``x <= threshold`` mask.
+* Every column of the table is ranked once (equal values share a rank;
+  the order and the ties hold for any sample of the rows), so one stable
+  argsort of (segment, rank) keys sorts a run of segments, ties in row
+  order, exactly as a per-node stable sort would.  The search runs over
+  runs of segments of at most ``_SEARCH_SLOTS`` slots, which keeps its
+  arrays in cache and its memory independent of the number of trees.
 * Splits are exact: every threshold between two distinct sorted values
   is scored.  Gini uses class prefix counts, exact integers; the MSE
   prefix sums restart at each segment, so every float is the one a
@@ -39,6 +45,9 @@ from .base import BaseEstimator, check_matrix, check_X_y
 __all__ = ["DecisionTreeClassifier", "DecisionTreeRegressor"]
 
 _LEAF = -1
+# The split search runs over chunks of about this many slots (node rows x
+# candidate features), so its arrays stay in cache and bounded whatever B is.
+_SEARCH_SLOTS = 2**15
 
 
 def _resolve_max_features(max_features: int | str | None, n_features: int) -> int:
@@ -55,15 +64,37 @@ def _resolve_max_features(max_features: int | str | None, n_features: int) -> in
     return min(count, n_features)
 
 
-def _dense_ranks(XT: np.ndarray) -> np.ndarray:
-    """Rank of every value within its row of ``XT``; equal values share a rank."""
-    order = np.argsort(XT, axis=-1)
-    ordered = np.take_along_axis(XT, order, axis=-1)
-    steps = np.zeros(XT.shape, dtype=np.int64)
-    steps[..., 1:] = ordered[..., 1:] > ordered[..., :-1]
-    ranks = np.empty_like(steps)
-    np.put_along_axis(ranks, order, np.cumsum(steps, axis=-1), axis=-1)
+def _dense_ranks(X: np.ndarray) -> np.ndarray:
+    """Rank of every value within its column of ``X``; equal values share a rank."""
+    ranks = np.empty(X.shape, dtype=np.int32)  # a rank is below the row count
+    # Column blocks bound the sort temporaries on wide tables.
+    width = max(1, 2**18 // max(1, X.shape[0]))
+    for first in range(0, X.shape[1], width):
+        block = X[:, first : first + width]
+        order = np.argsort(block, axis=0)
+        ordered = np.take_along_axis(block, order, axis=0)
+        steps = np.zeros(block.shape, dtype=bool)
+        steps[1:] = ordered[1:] > ordered[:-1]
+        np.put_along_axis(
+            ranks[:, first : first + width],
+            order,
+            np.cumsum(steps, axis=0, dtype=np.int32),
+            axis=0,
+        )
     return ranks
+
+
+def _chunks(lengths: np.ndarray) -> list[int]:
+    """Bounds of consecutive segment runs that hold at most ``_SEARCH_SLOTS``
+    slots when padded to their longest segment (or are one segment)."""
+    bounds = [0]
+    while bounds[-1] < len(lengths):
+        first = bounds[-1]
+        rest = lengths[first:]
+        padded = np.arange(1, len(rest) + 1) * np.maximum.accumulate(rest)
+        count = int(np.searchsorted(padded, _SEARCH_SLOTS, side="right"))
+        bounds.append(first + max(1, count))
+    return bounds
 
 
 def _segments(lengths: np.ndarray):
@@ -120,31 +151,38 @@ class _BaseTree(BaseEstimator):
 
     # -- growth ----------------------------------------------------------
     @classmethod
-    def _fit_lockstep(cls, trees: list["_BaseTree"], X: np.ndarray, y: np.ndarray) -> None:
-        """Grow ``trees`` (same class and hyperparameters) on ``X[b], y[b]``.
+    def _fit_lockstep(
+        cls, trees: list["_BaseTree"], X: np.ndarray, y: np.ndarray, samples: np.ndarray
+    ) -> None:
+        """Grow ``trees`` (same class and hyperparameters) on samples of ``X, y``.
 
-        ``X`` is ``(B, n, d)`` and ``y`` is ``(B, n)``: tree ``b`` sees
-        row ``i`` as ``X[b, i]``.  Each tree ends up exactly as if grown
-        alone with its own seed.
+        ``X`` is ``(N, d)``, ``y`` is ``(N,)`` and ``samples`` is
+        ``(B, n)``: tree ``b`` sees row ``i`` as ``X[samples[b, i]]``.
+        Each tree ends up exactly as if grown alone on ``X[samples[b]]``
+        with its own seed.
         """
         template = trees[0]
-        n_trees, n, d = X.shape
-        encoded = [tree._encode(target) for tree, target in zip(trees, y)]
+        n_trees, n = samples.shape
+        N, d = X.shape
+        encoded = [tree._encode(y[sample]) for tree, sample in zip(trees, samples)]
         tree_classes = np.array([count for _, count in encoded])
         n_classes = int(tree_classes.max())
         Y = np.stack([values for values, _ in encoded])
         k = _resolve_max_features(template.max_features, d)
         max_depth = np.inf if template.max_depth is None else template.max_depth
         split_min, leaf_min = template.min_samples_split, template.min_samples_leaf
-        # Segment-major sort keys fit 16 bits (a linear-time radix sort) on small inputs.
-        small_keys = n_trees * k * n <= 2**16
 
-        XT = np.ascontiguousarray(X.transpose(0, 2, 1))  # (B, d, n)
-        x_flat, y_flat = XT.reshape(-1), Y.reshape(-1)
-        rank_flat = _dense_ranks(XT).reshape(-1)
-        # Each node is a block [lo, hi) of its tree's row lane, in ascending row order.
-        row_lane = np.tile(np.arange(n), (n_trees, 1))
-        r_flat = row_lane.reshape(-1)
+        # Ranks of the shared table keep value order and ties, so they
+        # order every sample's rows too; no tree gets a copy of X.
+        X = np.ascontiguousarray(X)
+        x_flat, y_flat = X.reshape(-1), Y.reshape(-1)
+        rank_flat = _dense_ranks(X).reshape(-1)
+        # Flat index of sample row (b, i) in X's first column.
+        table_row = (samples * d).reshape(-1)
+        # Each node is a block [lo, hi) of its tree's lane of flat (tree, row)
+        # ids, in ascending row order.
+        r_flat = np.arange(n_trees * n)
+        row_lane = r_flat.reshape(n_trees, n)
 
         rngs = [np.random.default_rng(tree.seed) for tree in trees]
         tables = [_NodeTable() for _ in trees]
@@ -161,6 +199,49 @@ class _BaseTree(BaseEstimator):
             if n >= split_min and max_depth > 0 and not pure:
                 stacks[b].append((0, 0, n, 0))
 
+        def search(seg_tree, seg_lo, seg_feature, lengths):
+            """Best split of every segment: gain, split slot, threshold, class counts.
+
+            Segment ``j`` is ``lengths[j]`` rows of the lane from
+            ``seg_lo[j]``, split on feature ``seg_feature[j]``.
+            """
+            starts, sid, offset = _segments(lengths)
+            rows = r_flat[seg_lo[sid] + offset]
+            cells = table_row[rows] + seg_feature[sid]
+            # Stable: tied values keep ascending row order within a segment.
+            key = sid * N + rank_flat[cells]
+            by_value = np.argsort(key, kind="stable")
+            key = key[by_value]
+            labels = y_flat[rows[by_value]]
+            gain, left_counts, totals = cls._gain(
+                labels, offset, sid, starts, lengths, tree_classes[seg_tree], n_classes
+            )
+            # A split between equal values (equal ranks) is not realizable;
+            # the last slot of a segment has no right side.
+            valid = np.empty(len(key), dtype=bool)
+            np.greater(key[1:], key[:-1], out=valid[:-1])
+            valid[starts + lengths - 1] = False
+            if leaf_min > 1:
+                valid &= offset + 1 >= leaf_min
+                valid &= lengths[sid] - offset - 1 >= leaf_min
+            gain[~valid] = -np.inf
+            best_gain = np.maximum.reduceat(gain, starts)
+            # First slot reaching the best gain of every segment that can
+            # split (NaN never wins).
+            good = np.flatnonzero(best_gain > 0.0)
+            ties = np.flatnonzero(gain == best_gain[sid])
+            at = ties[np.searchsorted(ties, starts[good])]
+            split = np.zeros(len(starts), dtype=np.int64)
+            threshold = np.zeros(len(starts))
+            left_stat = np.zeros((len(starts), n_classes), dtype=np.int64)
+            split[good] = at - starts[good]
+            low, high = x_flat[cells[by_value[at]]], x_flat[cells[by_value[at + 1]]]
+            threshold[good] = (low + high) / 2.0
+            if not n_classes:  # regression carries no class counts
+                return best_gain, split, threshold, left_stat, left_stat
+            left_stat[good] = left_counts.T[at]
+            return best_gain, split, threshold, left_stat, totals.T
+
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             while True:
                 active = [b for b in range(n_trees) if stacks[b]]
@@ -174,43 +255,25 @@ class _BaseTree(BaseEstimator):
                 sizes = np.array(hi) - lo_a
                 # -- split search over every (tree, candidate) segment ----------
                 lengths = np.repeat(sizes, k)
-                starts, sid, offset = _segments(lengths)
                 seg_tree = np.repeat(tree_of, k)
+                seg_lo = np.repeat(tree_of * n + lo_a, k)
                 seg_feature = features.reshape(-1)
-                rows = r_flat[(seg_tree * n + np.repeat(lo_a, k))[sid] + offset]
-                lane = ((seg_tree * d + seg_feature) * n)[sid]
-                key = sid * n + rank_flat[lane + rows]
-                # Stable: tied values keep ascending row order within a segment.
-                by_value = np.argsort(
-                    key.astype(np.uint16) if small_keys else key, kind="stable"
+                bounds = _chunks(lengths)
+                parts = [
+                    search(seg_tree[i:j], seg_lo[i:j], seg_feature[i:j], lengths[i:j])
+                    for i, j in zip(bounds[:-1], bounds[1:])
+                ]
+                best_gain, split, threshold, left_stat, totals = (
+                    np.concatenate(result) for result in zip(*parts)
                 )
-                rows = rows[by_value]
-                values = x_flat[lane + rows]
-                labels = y_flat[(seg_tree * n)[sid] + rows]
-                gain, left_counts, totals = cls._gain(
-                    labels, offset, sid, starts, lengths, tree_classes[seg_tree], n_classes
-                )
-                # A split between equal values is not realizable; the last
-                # slot of a segment has no right side.
-                valid = np.empty(len(values), dtype=bool)
-                np.greater(values[1:], values[:-1], out=valid[:-1])
-                valid[starts + lengths - 1] = False
-                if leaf_min > 1:
-                    valid &= offset + 1 >= leaf_min
-                    valid &= lengths[sid] - offset - 1 >= leaf_min
-                gain[~valid] = -np.inf
-                best_gain = np.maximum.reduceat(gain, starts)
-                slot = np.where(gain == best_gain[sid], np.arange(len(gain)), len(gain))
-                best_slot = np.minimum.reduceat(slot, starts)
-                # First candidate with the largest positive gain (NaN never wins).
+                # First candidate with the largest positive gain.
                 per_node = np.fmax(best_gain, -np.inf).reshape(-1, k)
                 pick = np.argmax(per_node, axis=1)
                 chosen = np.flatnonzero(per_node[np.arange(len(pick)), pick] > 0.0)
                 if not len(chosen):
                     continue
                 segment = chosen * k + pick[chosen]
-                at = best_slot[segment]
-                threshold = (values[at] + values[at + 1]) / 2.0
+                threshold = threshold[segment]
                 feature = seg_feature[segment]
                 # -- stable partition of each chosen node's rows ----------------
                 c_tree, c_lo, c_size = tree_of[chosen], lo_a[chosen], sizes[chosen]
@@ -218,8 +281,8 @@ class _BaseTree(BaseEstimator):
                 block_start = c_tree * n + c_lo
                 position = block_start[p_sid] + p_offset
                 block = r_flat[position]
-                column = (c_tree * d + feature) * n
-                goes_left = x_flat[column[p_sid] + block] <= threshold[p_sid]
+                cells = table_row[block] + feature[p_sid]
+                goes_left = x_flat[cells] <= threshold[p_sid]
                 lefts = np.cumsum(goes_left)
                 before = lefts[p_starts] - goes_left[p_starts]
                 n_left = lefts[p_starts + c_size - 1] - before
@@ -231,19 +294,19 @@ class _BaseTree(BaseEstimator):
                 n_right = c_size - n_left
                 # -- children statistics ----------------------------------------
                 if n_classes:
-                    left_stat = left_counts.T[at]
+                    left_stat = left_stat[segment]
                     # The midpoint can round onto the upper value, sending its
                     # ties left too: recount those children.
-                    for i in np.flatnonzero(n_left != at - starts[segment] + 1):
+                    for i in np.flatnonzero(n_left != split[segment] + 1):
                         b, first = c_tree[i], c_lo[i]
                         kept = row_lane[b, first : first + n_left[i]]
-                        left_stat[i] = np.bincount(Y[b, kept], minlength=n_classes)
-                    right_stat = totals.T[segment] - left_stat
+                        left_stat[i] = np.bincount(y_flat[kept], minlength=n_classes)
+                    right_stat = totals[segment] - left_stat
                     left_pure = left_stat.max(axis=1) == n_left
                     right_pure = right_stat.max(axis=1) == n_right
                 else:
                     left_stat, right_stat, left_pure, right_pure = _mse_children(
-                        Y, row_lane, c_tree, c_lo, n_left, c_size
+                        y_flat, row_lane, c_tree, c_lo, n_left, c_size
                     )
                 split_ok = (n_left >= leaf_min) & (n_right >= leaf_min)
                 for i, a, f, t, nl, nr, lp, rp in zip(
@@ -307,7 +370,7 @@ class _BaseTree(BaseEstimator):
         return int(depths.max(initial=0))
 
 
-def _mse_children(Y, row_lane, c_tree, c_lo, n_left, c_size):
+def _mse_children(y_flat, row_lane, c_tree, c_lo, n_left, c_size):
     """Mean and purity of both children of every chosen regression node."""
     left_mean = np.empty(len(c_tree))
     right_mean = np.empty(len(c_tree))
@@ -315,8 +378,8 @@ def _mse_children(Y, row_lane, c_tree, c_lo, n_left, c_size):
     right_pure = np.empty(len(c_tree), dtype=bool)
     for i, b in enumerate(c_tree):
         lo, middle, hi = c_lo[i], c_lo[i] + n_left[i], c_lo[i] + c_size[i]
-        left_y = Y[b, row_lane[b, lo:middle]]
-        right_y = Y[b, row_lane[b, middle:hi]]
+        left_y = y_flat[row_lane[b, lo:middle]]
+        right_y = y_flat[row_lane[b, middle:hi]]
         left_mean[i] = left_y.mean() if len(left_y) else np.nan
         right_mean[i] = right_y.mean() if len(right_y) else np.nan
         left_pure[i] = len(left_y) == 0 or np.ptp(left_y) < 1e-12
@@ -367,7 +430,7 @@ class DecisionTreeClassifier(_BaseTree):
 
     def fit(self, X, y) -> "DecisionTreeClassifier":
         matrix, target = check_X_y(X, y)
-        self._fit_lockstep([self], matrix[None], target[None])
+        self._fit_lockstep([self], matrix, target, np.arange(len(target))[None])
         return self
 
     def _encode(self, y: np.ndarray) -> tuple[np.ndarray, int]:
@@ -417,7 +480,7 @@ class DecisionTreeRegressor(_BaseTree):
 
     def fit(self, X, y) -> "DecisionTreeRegressor":
         matrix, target = check_X_y(X, y)
-        self._fit_lockstep([self], matrix[None], target[None])
+        self._fit_lockstep([self], matrix, target, np.arange(len(target))[None])
         return self
 
     def _encode(self, y: np.ndarray) -> tuple[np.ndarray, int]:
@@ -426,24 +489,24 @@ class DecisionTreeRegressor(_BaseTree):
     @staticmethod
     def _gain(labels, offset, sid, starts, lengths, n_classes, width):
         # Float prefix sums must restart at each segment: a padded 2-D
-        # cumsum along the rows is exact because the padding trails.
-        padded = np.zeros((2, len(starts), int(lengths.max())))
-        real = np.arange(padded.shape[2]) < lengths[:, None]
-        padded[0][real] = labels
-        padded[1][real] = labels**2
-        prefix = np.cumsum(padded, axis=2)
-        left_sum, left_sq = prefix[:, real]
-        total_sum, total_sq = prefix[:, np.arange(len(starts)), lengths - 1]
-        n = lengths[sid]
-        left_n = offset + 1.0
+        # cumsum along the rows is exact because the padding trails.  The
+        # gain is computed on the padded rows (trailing slots are junk).
+        row = int(lengths.max())
+        slot = sid * row + offset
+        padded = np.zeros((2, len(starts) * row))
+        padded[0, slot] = labels
+        padded[1, slot] = labels**2
+        left_sum, left_sq = np.cumsum(padded.reshape(2, len(starts), row), axis=2)
+        last = np.arange(len(starts)), lengths - 1
+        total_sum, total_sq = left_sum[last][:, None], left_sq[last][:, None]
+        n = lengths[:, None]
+        left_n = np.arange(1.0, row + 1.0)
         right_n = n - left_n
-        right_sum = total_sum[sid] - left_sum
-        right_sq = total_sq[sid] - left_sq
         # SSE of each side: sum(y^2) - (sum(y))^2 / n.
         left_sse = left_sq - left_sum**2 / left_n
-        right_sse = right_sq - right_sum**2 / right_n
-        parent_sse = total_sq - total_sum**2 / lengths
-        gain = (parent_sse[sid] - left_sse - right_sse) / n
+        right_sse = (total_sq - left_sq) - (total_sum - left_sum) ** 2 / right_n
+        parent_sse = total_sq - total_sum**2 / n
+        gain = ((parent_sse - left_sse - right_sse) / n).reshape(-1)[slot]
         return gain, None, None
 
     def predict(self, X) -> np.ndarray:
